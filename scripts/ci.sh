@@ -48,7 +48,10 @@
 # stage 11 runs the million-node-scale track (`repro bench --suite
 # x15_scale`): the sparse connectivity store at k=64 — the dense/sparse
 # footprint ratio is gated (a shrinking ratio past the band exits 3),
-# exercised exactly like stage 10 with a perturbed-copy trip check.
+# exercised exactly like stage 10 with a perturbed-copy trip check;
+# stage 12 checks the packaging: `python setup.py develop` (metadata from
+# pyproject.toml) into a throwaway --system-site-packages venv must
+# install a working `repro` console script — offline, without `wheel`.
 #
 # Usage: scripts/ci.sh [extra pytest args passed to stage 1]
 set -euo pipefail
@@ -191,5 +194,13 @@ else
 fi
 rm -f benchmarks/artifacts/BENCH_x15_scale_perturbed.json
 echo "x15 scale gate trips correctly"
+
+echo "== stage 12: packaging (editable install + console script) =="
+pkg_venv="$(mktemp -d)"
+python -m venv --without-pip --system-site-packages "$pkg_venv"
+"$pkg_venv/bin/python" setup.py -q develop >/dev/null
+"$pkg_venv/bin/repro" --help >/dev/null
+rm -rf "$pkg_venv"
+echo "repro console script installs and runs"
 
 echo "CI OK"

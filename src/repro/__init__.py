@@ -17,7 +17,7 @@ Public API highlights
   `partition_ppn`, `map_to_fpgas`).
 """
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 from repro.graph import WGraph  # noqa: F401  (re-export)
 

@@ -10,9 +10,9 @@ matchings restricted to pairs both parents agree on, refine, project
 back — the V-cycle machinery turned into a crossover operator) and by
 perturb/walk mutations, with goodness-ranked, diversity-aware replacement.
 
-* :mod:`repro.evolve.engines` — one adapter surface over the graph
-  (edge-cut) and hypergraph ((λ−1) connectivity) substrates; everything
-  else is engine-agnostic.
+* :mod:`repro.evolve.engines` — picks the adapter (graph edge cut,
+  hypergraph (λ−1) connectivity, vector budgets) for a structure;
+  everything else is engine-agnostic.
 * :mod:`repro.evolve.population` — fixed-size pool, Hamming-distance
   diversity tie-breaking, stagnation detection.
 * :mod:`repro.evolve.operators` — recombination (child never worse than

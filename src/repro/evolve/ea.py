@@ -213,6 +213,11 @@ def _seed_member_configs(kind: str, config: EvolveConfig) -> list:
     """
     if kind in ("graph", "vector"):
         members = default_portfolio()
+        # GPConfig members inherit the run's refine mode (the vector
+        # member runner forwards it to mr_gp_partition); HyperConfig
+        # has no refine field — hypergraph flow runs live in the
+        # engine-level operators, not the seeding members
+        extra = {"refine": config.refine}
     else:
         from repro.hypergraph.partition import HyperConfig
 
@@ -222,25 +227,13 @@ def _seed_member_configs(kind: str, config: EvolveConfig) -> list:
             HyperConfig(coarsen_to=60),
             HyperConfig(restarts=5, max_cycles=30),
         ]
-    if kind in ("graph", "vector"):
-        # GPConfig members inherit the run's refine mode (the vector
-        # member runner forwards it to mr_gp_partition); HyperConfig
-        # has no refine field — hypergraph flow runs live in the
-        # engine-level operators, not the seeding members
-        return [
-            dataclasses.replace(
-                cfg,
-                on_infeasible="return",
-                max_cycles=min(cfg.max_cycles, config.seed_max_cycles),
-                refine=config.refine,
-            )
-            for cfg in members
-        ]
+        extra = {}
     return [
         dataclasses.replace(
             cfg,
             on_infeasible="return",
             max_cycles=min(cfg.max_cycles, config.seed_max_cycles),
+            **extra,
         )
         for cfg in members
     ]

@@ -1,54 +1,29 @@
-"""Engine adapters: one facade over the graph and hypergraph substrates.
+"""Engine adapters: one facade over the graph, hypergraph and vector
+substrates.
 
 The evolutionary loop (:mod:`repro.evolve.ea`) and its operators
-(:mod:`repro.evolve.operators`) are written once against the small surface
-defined here; :func:`make_engine` dispatches on the structure type.  Both
-adapters funnel refinement through the engine-agnostic
-:func:`~repro.partition.kway_refine.run_constrained_fm` seam, so the EA
-inherits the exact move ordering, tie-breaking and best-prefix discipline
-of the GP refinement on either substrate:
-
-* :class:`GraphEngine` — :class:`~repro.graph.wgraph.WGraph` under the
-  edge-cut objective, refined on
-  :class:`~repro.partition.refine_state.RefinementState`.
-* :class:`HyperEngine` — :class:`~repro.hypergraph.hgraph.HGraph` under the
-  (λ−1) connectivity objective, refined on
-  :class:`~repro.hypergraph.refine_state.HyperRefinementState`.
-* :class:`VectorGraphEngine` — :class:`~repro.partition.vector_state.
-  VectorGraph` (a graph bundled with its ``(n, R)`` resource matrix)
-  under the edge-cut objective with **componentwise** resource budgets
-  (:class:`~repro.partition.vector_state.VectorConstraints`), refined on
-  :class:`~repro.partition.vector_state.VectorRefinementState`.
-  Contraction aggregates the weight matrix through the same node maps
-  that merge the nodes, and ``digest()`` covers the matrix, so cached
-  runs can never confuse two instances that differ only in resources.
-
-An adapter is stateless apart from the structure/k it wraps: every method
-takes the (possibly coarsened) structure it operates on, so one adapter
-serves a whole restricted-coarsening hierarchy.
+(:mod:`repro.evolve.operators`) are written once against the adapter
+surface of :class:`~repro.partition.multilevel.Engine`;
+:func:`make_engine` picks the adapter for a structure.  The adapters live
+next to the multilevel entry points that drive them too:
+:class:`~repro.partition.gp.GraphEngine` (edge cut on a ``WGraph``),
+:class:`~repro.hypergraph.partition.HyperEngine` ((λ−1) connectivity on
+an ``HGraph``) and :class:`~repro.partition.multires.VectorGraphEngine`
+(edge cut under componentwise budgets on a ``VectorGraph``, whose digest
+covers the resource matrix).  All three refine through the
+engine-agnostic :func:`~repro.partition.kway_refine.run_constrained_fm`
+seam, so the EA inherits the exact move ordering, tie-breaking and
+best-prefix discipline of the GP refinement on each substrate.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.graph.wgraph import WGraph
-from repro.hypergraph.coarsen import contract_hyper, heavy_pin_matching
 from repro.hypergraph.hgraph import HGraph
-from repro.hypergraph.metrics import evaluate_hyper_partition
-from repro.hypergraph.refine_state import HyperRefinementState
-from repro.partition.coarsen import contract
-from repro.partition.flow_refine import check_refine_mode, run_flow_refine
-from repro.partition.kway_refine import run_constrained_fm
-from repro.partition.metrics import ConstraintSpec, evaluate_partition
-from repro.partition.refine_state import RefinementState
-from repro.partition.multires import evaluate_multires
-from repro.partition.vcycle import intra_part_matching
-from repro.partition.vector_state import (
-    VectorConstraints,
-    VectorGraph,
-    VectorRefinementState,
-)
+from repro.hypergraph.partition import HyperEngine
+from repro.partition.gp import GraphEngine
+from repro.partition.multires import VectorGraphEngine
+from repro.partition.vector_state import VectorGraph
 from repro.util.errors import PartitionError
 
 __all__ = [
@@ -57,234 +32,6 @@ __all__ = [
     "VectorGraphEngine",
     "make_engine",
 ]
-
-
-def _refined(engine, st, structure, neighbors_of, constraints,
-             max_passes, seed) -> np.ndarray:
-    """The engine's refinement stage on state *st* (shared by all three
-    adapters): FM unless the engine was built with ``refine="flow"``;
-    corridor flow passes (:mod:`repro.partition.flow_refine`) at every
-    level for ``"flow"``, and at the finest level only for ``"fm+flow"``
-    (coarse levels keep plain FM — the flow polish is a finest-level
-    cut instrument, and the guard makes it free to skip)."""
-    if engine.refine != "flow":
-        out = run_constrained_fm(
-            st, structure.n, neighbors_of, constraints,
-            max_passes=max_passes, seed=seed,
-        )
-    if engine.refine == "flow" or (
-        engine.refine == "fm+flow" and structure.n == engine.structure.n
-    ):
-        out = run_flow_refine(st, constraints)
-    return out
-
-
-class GraphEngine:
-    """The 2-pin edge-cut substrate behind the uniform engine surface."""
-
-    kind = "graph"
-
-    def __init__(self, g: WGraph, k: int, refine: str = "fm") -> None:
-        self.structure = g
-        self.k = int(k)
-        self.refine = check_refine_mode(refine)
-
-    def digest(self) -> str:
-        return self.structure.content_digest()
-
-    def make_state(self, structure: WGraph, assign: np.ndarray):
-        return RefinementState(structure, assign, self.k)
-
-    def neighbors(self, structure: WGraph, u: int) -> np.ndarray:
-        return structure.neighbors(u)
-
-    def evaluate(self, assign: np.ndarray, constraints: ConstraintSpec):
-        return evaluate_partition(self.structure, assign, self.k, constraints)
-
-    def fm(
-        self,
-        structure: WGraph,
-        assign: np.ndarray,
-        constraints: ConstraintSpec,
-        max_passes: int,
-        seed,
-    ):
-        """One constrained-FM call; returns ``(assign, tracked metrics)``.
-
-        Never returns an assignment worse than its input under the FM key
-        (best-prefix rollback) — the property the recombination invariant
-        leans on.
-        """
-        return self.fm_state(
-            structure, self.make_state(structure, assign), constraints,
-            max_passes, seed,
-        )
-
-    def fm_state(self, structure: WGraph, st, constraints, max_passes, seed):
-        """:meth:`fm` on an already-built (possibly moved-on) engine state —
-        callers that just mutated through ``st.move`` skip a rebuild."""
-        out = _refined(
-            self, st, structure, structure.neighbors, constraints,
-            max_passes, seed,
-        )
-        return out, st.metrics(constraints)
-
-    def restricted_matching(
-        self, structure: WGraph, labels: np.ndarray, n_labels: int, seed
-    ) -> np.ndarray:
-        """A matching that never pairs nodes with different *labels* —
-        :func:`~repro.partition.vcycle.intra_part_matching` generalized to
-        arbitrary label vectors (the recombination overlay has up to ``k²``
-        classes)."""
-        return intra_part_matching(
-            structure, labels, n_labels, method="hem", seed=seed
-        )
-
-    def contract(self, structure: WGraph, match: np.ndarray):
-        return contract(structure, match)
-
-
-class HyperEngine:
-    """The (λ−1) connectivity substrate behind the uniform engine surface."""
-
-    kind = "hypergraph"
-
-    def __init__(self, hg: HGraph, k: int, refine: str = "fm") -> None:
-        self.structure = hg
-        self.k = int(k)
-        self.refine = check_refine_mode(refine)
-
-    def digest(self) -> str:
-        return self.structure.content_digest()
-
-    def make_state(self, structure: HGraph, assign: np.ndarray):
-        return HyperRefinementState(structure, assign, self.k)
-
-    def neighbors(self, structure: HGraph, u: int) -> np.ndarray:
-        return structure.adjacent_nodes(u)
-
-    def evaluate(self, assign: np.ndarray, constraints: ConstraintSpec):
-        return evaluate_hyper_partition(
-            self.structure, assign, self.k, constraints
-        )
-
-    def fm(
-        self,
-        structure: HGraph,
-        assign: np.ndarray,
-        constraints: ConstraintSpec,
-        max_passes: int,
-        seed,
-    ):
-        return self.fm_state(
-            structure, self.make_state(structure, assign), constraints,
-            max_passes, seed,
-        )
-
-    def fm_state(self, structure: HGraph, st, constraints, max_passes, seed):
-        """:meth:`fm` on an already-built Φ engine state (see GraphEngine)."""
-        out = _refined(
-            self, st, structure, structure.adjacent_nodes, constraints,
-            max_passes, seed,
-        )
-        return out, st.metrics(constraints)
-
-    def restricted_matching(
-        self, structure: HGraph, labels: np.ndarray, n_labels: int, seed
-    ) -> np.ndarray:
-        """Heavy-pin matching with every label-crossing pair unmatched —
-        the hypergraph analogue of the graph engine's restricted matching
-        (contraction of the result preserves every label class exactly)."""
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != (structure.n,):
-            raise PartitionError(
-                f"labels have shape {labels.shape}, expected ({structure.n},)"
-            )
-        match = heavy_pin_matching(structure, seed=seed).copy()
-        crossing = labels != labels[match]
-        match[crossing] = np.arange(structure.n, dtype=np.int64)[crossing]
-        return match
-
-    def contract(self, structure: HGraph, match: np.ndarray):
-        return contract_hyper(structure, match)
-
-
-class VectorGraphEngine:
-    """The vector-resource substrate behind the uniform engine surface.
-
-    Identical topology machinery to :class:`GraphEngine` (edge-cut
-    objective, HEM restricted matching, graph contraction) — the
-    difference is what "resources" means: states are
-    :class:`~repro.partition.vector_state.VectorRefinementState` tracking
-    the ``(k, R)`` load matrix, constraints are
-    :class:`~repro.partition.vector_state.VectorConstraints`, and
-    contraction carries the weight matrix through the node map.
-    """
-
-    kind = "vector"
-
-    def __init__(self, vg: VectorGraph, k: int, refine: str = "fm") -> None:
-        self.structure = vg
-        self.k = int(k)
-        self.refine = check_refine_mode(refine)
-
-    def digest(self) -> str:
-        """Covers topology, node/edge weights **and** the weight matrix."""
-        return self.structure.content_digest()
-
-    def make_state(self, structure: VectorGraph, assign: np.ndarray):
-        return VectorRefinementState(
-            structure.graph, structure.weights, assign, self.k
-        )
-
-    def neighbors(self, structure: VectorGraph, u: int) -> np.ndarray:
-        return structure.graph.neighbors(u)
-
-    def evaluate(self, assign: np.ndarray, constraints: VectorConstraints):
-        return evaluate_multires(
-            self.structure.graph, self.structure.weights, assign, self.k,
-            constraints,
-        )
-
-    def fm(
-        self,
-        structure: VectorGraph,
-        assign: np.ndarray,
-        constraints: VectorConstraints,
-        max_passes: int,
-        seed,
-    ):
-        """One constrained-FM call; returns ``(assign, tracked metrics)``
-        (never worse than its input under the FM key — see GraphEngine)."""
-        return self.fm_state(
-            structure, self.make_state(structure, assign), constraints,
-            max_passes, seed,
-        )
-
-    def fm_state(self, structure: VectorGraph, st, constraints, max_passes, seed):
-        out = _refined(
-            self, st, structure, structure.graph.neighbors, constraints,
-            max_passes, seed,
-        )
-        return out, st.metrics(constraints)
-
-    def restricted_matching(
-        self, structure: VectorGraph, labels: np.ndarray, n_labels: int, seed
-    ) -> np.ndarray:
-        return intra_part_matching(
-            structure.graph, labels, n_labels, method="hem", seed=seed
-        )
-
-    def contract(self, structure: VectorGraph, match: np.ndarray):
-        """Contract the graph and aggregate the weight matrix through the
-        node map — coarse node loads are exact sums of their fine nodes,
-        so every coarse-level constraint check is exact too."""
-        coarse, node_map = contract(structure.graph, match)
-        agg = np.zeros(
-            (coarse.n, structure.weights.shape[1]), dtype=np.float64
-        )
-        np.add.at(agg, node_map, structure.weights)
-        return VectorGraph(coarse, agg, names=structure.names), node_map
 
 
 def make_engine(structure, k: int, refine: str = "fm"):

@@ -12,13 +12,15 @@ Contents
   edge, K-means) and graph contraction (Section IV.A).
 * :mod:`repro.partition.initial` — greedy resource-aware initial partitioning
   with restarts (Section IV.B).
-* :mod:`repro.partition.fm` / :mod:`repro.partition.kl` — local refinement.
+* :mod:`repro.partition.fm` — two-way FM refinement.
 * :mod:`repro.partition.kway_refine` — k-way boundary refinement, both
   cut-driven (METIS style) and constraint-driven (GP style).
 * :mod:`repro.partition.flow_refine` — corridor max-flow refinement on the
   same engine seam (``refine="flow"/"fm+flow"``; ``docs/refinement.md``).
 * :mod:`repro.partition.mlkp` — METIS-like unconstrained multilevel k-way
   baseline.
+* :mod:`repro.partition.multilevel` — the cyclic multilevel driver shared
+  by the graph, hypergraph and vector engines.
 * :mod:`repro.partition.gp` — the paper's constrained partitioner.
 * :mod:`repro.partition.spectral`, :mod:`repro.partition.exact` — extra
   baselines (spectral recursive bisection; exact branch & bound).

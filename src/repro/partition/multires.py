@@ -16,17 +16,17 @@ raced across processes — over a multilevel hierarchy whose node-weight
 *matrices* are aggregated through the same contraction maps the scalar
 path uses.
 
-Since the engine unification, the drivers here are thin: the FM pass is
-the engine-agnostic
-:func:`~repro.partition.kway_refine.run_constrained_fm` run on a
-:class:`~repro.partition.vector_state.VectorRefinementState` (the ``(k,
-R)`` load matrix tracked incrementally with exact rollback), the retry
-cycles race through :func:`~repro.util.parallel.parallel_map` with
-results bit-identical for every ``n_jobs``, and completed runs are
-memoised in :data:`multires_cache` keyed by the
-:class:`~repro.partition.vector_state.VectorGraph` content digest
-(structure **and** weight matrix).  The pre-unification hand-rolled loop
-is frozen in ``benchmarks/_legacy_multires.py``;
+Since the engine unification, the code here is thin: the FM pass is the
+engine-agnostic :func:`~repro.partition.kway_refine.run_constrained_fm`
+run on a :class:`~repro.partition.vector_state.VectorRefinementState`
+(the ``(k, R)`` load matrix tracked incrementally with exact rollback),
+:func:`mr_gp_partition` is the shared
+:func:`~repro.partition.multilevel.multilevel_partition` driver over
+:class:`VectorGraphEngine` with results bit-identical for every
+``n_jobs``, and completed runs are memoised in :data:`multires_cache`
+keyed by the :class:`~repro.partition.vector_state.VectorGraph` content
+digest (structure **and** weight matrix).  The pre-unification
+hand-rolled FM loop is frozen in ``benchmarks/_legacy_multires.py``;
 ``tests/test_multires_differential.py`` pins the two against each other.
 See ``docs/multires.md``.
 """
@@ -41,10 +41,17 @@ import numpy as np
 
 from repro.graph.wgraph import WGraph
 from repro.partition.base import PartitionState
-from repro.partition.coarsen import build_hierarchy
-from repro.partition.flow_refine import check_refine_mode, run_flow_refine
-from repro.partition.kway_refine import run_constrained_fm
+from repro.partition.coarsen import build_hierarchy, contract
+from repro.partition.flow_refine import run_flow_refine
+from repro.partition.gp import GPConfig
+from repro.partition.kway_refine import constrained_kway_fm, run_constrained_fm
 from repro.partition.metrics import check_assignment
+from repro.partition.multilevel import (
+    Engine,
+    check_feasible,
+    multilevel_partition,
+)
+from repro.partition.vcycle import intra_part_matching
 from repro.partition.vector_state import (
     MultiResMetrics,
     VectorConstraints,
@@ -52,9 +59,8 @@ from repro.partition.vector_state import (
     VectorRefinementState,
     check_weight_matrix,
 )
-from repro.util.errors import InfeasibleError, PartitionError
-import repro.obs as _obs
-from repro.util.parallel import KeyedCache, parallel_map
+from repro.util.errors import PartitionError
+from repro.util.parallel import KeyedCache
 from repro.util.rng import as_rng, spawn_seeds
 
 __all__ = [
@@ -66,6 +72,7 @@ __all__ = [
     "mr_gp_partition",
     "leftover_destination",
     "MultiResResult",
+    "VectorGraphEngine",
     "multires_cache",
     "clear_multires_cache",
 ]
@@ -104,12 +111,6 @@ class MultiResResult:
         return self.metrics.cut
 
 
-def _check_weights(g: WGraph, weights: np.ndarray) -> np.ndarray:
-    # retained name for the module's internal call sites; the validation
-    # itself lives with the engine state
-    return check_weight_matrix(g, weights)
-
-
 def _loads(weights: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
     out = np.zeros((k, weights.shape[1]))
     np.add.at(out, assign, weights)
@@ -135,7 +136,7 @@ def evaluate_multires(
     Computed from scratch (no incremental state) — the independent
     reference the invariant suite checks the tracked engine against.
     """
-    w = _check_weights(g, weights)
+    w = check_weight_matrix(g, weights)
     _match_resources(w, cons)
     a = check_assignment(g, assign, k)
     state = PartitionState(g, a, k)
@@ -184,24 +185,15 @@ def mr_constrained_fm(
     returned assignment, so callers can read ``state.metrics(cons)``
     without a from-scratch evaluation).
     """
-    if max_passes < 1:
-        raise PartitionError(f"max_passes must be >= 1, got {max_passes}")
-    w = _check_weights(g, weights)
+    w = check_weight_matrix(g, weights)
     _match_resources(w, cons)
-    a = check_assignment(g, assign, k)
     if state is None:
-        st = VectorRefinementState(g, w, a, k)
-    else:
-        if state.g is not g or state.k != k:
-            raise PartitionError("provided state does not match graph/k")
-        if not np.array_equal(state.assign, a):
-            raise PartitionError(
-                "provided state holds a different assignment than the one passed"
-            )
-        st = state
-    return run_constrained_fm(
-        st, g.n, g.neighbors, cons,
-        max_passes=max_passes, seed=seed, abort_after=abort_after,
+        state = VectorRefinementState(g, w, check_assignment(g, assign, k), k)
+    # the scalar driver checks the state against (g, k, assign) and runs
+    # the shared pass on it
+    return constrained_kway_fm(
+        g, assign, k, cons, max_passes=max_passes, seed=seed,
+        abort_after=abort_after, state=state,
     )
 
 
@@ -252,7 +244,7 @@ def mr_greedy_initial(
     """
     if restarts < 1:
         raise PartitionError(f"restarts must be >= 1, got {restarts}")
-    w = _check_weights(g, weights)
+    w = check_weight_matrix(g, weights)
     _match_resources(w, cons)
     rmax = np.asarray(cons.rmax)
     rng = as_rng(seed)
@@ -311,85 +303,120 @@ def mr_greedy_initial(
     return best_assign
 
 
-def _run_mr_cycle(context, seeds):
-    """One coarsen/partition/un-coarsen cycle (a parallel_map worker).
+class VectorGraphEngine(Engine):
+    """The vector-resource substrate: a :class:`~repro.partition.
+    vector_state.VectorGraph` refined on :class:`~repro.partition.
+    vector_state.VectorRefinementState` under componentwise budgets.
 
-    Independent of every other cycle given its three pre-spawned seeds —
-    the same independence that lets GP's scalar cycles race.  The
-    instance travels in the shared *context* (shipped once per worker).
-    Returns ``(assign, metrics, hierarchy_depth)``.
+    Identical topology machinery to the graph engine (edge-cut objective,
+    HEM restricted matching, graph contraction) — the difference is what
+    "resources" means: states track the ``(k, R)`` load matrix,
+    constraints are :class:`~repro.partition.vector_state.
+    VectorConstraints`, and contraction carries the weight matrix through
+    the node map.
     """
-    (g, w, proxy_graph, k, cons, coarsen_to, restarts, refine_passes,
-     refine) = context
-    s_hier, s_init, s_ref = seeds
-    with _obs.trace_span("mr.cycle", nodes=g.n, k=k) as sp:
-        hier = build_hierarchy(
-            proxy_graph, coarsen_to=max(coarsen_to, 2 * k), seed=s_hier
+
+    kind = "vector"
+    name = "mr"
+    algorithm = "MR-GP"
+
+    def make_state(self, structure: VectorGraph, assign: np.ndarray):
+        return VectorRefinementState(
+            structure.graph, structure.weights, assign, self.k
         )
-        # aggregate the weight matrix down the hierarchy
-        level_weights = [w]
-        for lvl in hier.levels[1:]:
-            prev = level_weights[-1]
-            agg = np.zeros((lvl.graph.n, w.shape[1]))
-            np.add.at(agg, lvl.node_map, prev)
-            level_weights.append(agg)
 
-        with _obs.trace_span("mr.initial", nodes=hier.coarsest.n):
-            assign = mr_greedy_initial(
-                hier.coarsest, level_weights[-1], k, cons,
-                restarts=restarts, seed=s_init,
-            )
-        ref_seeds = spawn_seeds(s_ref, hier.depth)
+    def neighbors(self, structure: VectorGraph, u: int) -> np.ndarray:
+        return structure.graph.neighbors(u)
 
-        def level_refine(lvl_graph, lvl_w, a_level, s):
-            if refine == "flow":
-                st = VectorRefinementState(lvl_graph, lvl_w, a_level, k)
-                return run_flow_refine(st, cons)
-            return mr_constrained_fm(
-                lvl_graph, lvl_w, a_level, k, cons,
-                max_passes=refine_passes, seed=s,
-            )
+    def evaluate(self, assign: np.ndarray, constraints: VectorConstraints):
+        return evaluate_multires(
+            self.structure.graph, self.structure.weights, assign, self.k,
+            constraints,
+        )
 
-        for level in range(hier.depth - 1, 0, -1):
-            assign = hier.project(assign, level)
-            lvl_graph = hier.levels[level - 1].graph
-            with _obs.trace_span(
-                "mr.refine_level", level=level - 1,
-                nodes=lvl_graph.n, edges=lvl_graph.m,
-            ):
-                assign = level_refine(
-                    lvl_graph, level_weights[level - 1], assign,
-                    ref_seeds[level - 1],
-                )
+    def restricted_matching(
+        self, structure: VectorGraph, labels: np.ndarray, n_labels: int, seed
+    ) -> np.ndarray:
+        return intra_part_matching(
+            structure.graph, labels, n_labels, method="hem", seed=seed
+        )
+
+    def contract(self, structure: VectorGraph, match: np.ndarray):
+        """Contract the graph and aggregate the weight matrix through the
+        node map — coarse node loads are exact sums of their fine nodes,
+        so every coarse-level constraint check is exact too."""
+        coarse, node_map = contract(structure.graph, match)
+        agg = np.zeros(
+            (coarse.n, structure.weights.shape[1]), dtype=np.float64
+        )
+        np.add.at(agg, node_map, structure.weights)
+        return VectorGraph(coarse, agg, names=structure.names), node_map
+
+    # ------------------------------------------------------------------ #
+    # multilevel hooks
+    # ------------------------------------------------------------------ #
+    def hierarchy(self, constraints: VectorConstraints, config: GPConfig,
+                  seed):
+        """Coarsen a scalar projection (summed normalised utilisation) so
+        the matchings see a sensible "mass", and aggregate the true weight
+        matrix level by level through the contraction maps."""
+        g, w = self.structure.graph, self.structure.weights
+        rmax = np.asarray(constraints.rmax)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            proxy = np.where(rmax > 0, w / rmax, 0.0).sum(axis=1)
+        hier = build_hierarchy(
+            g.with_node_weights(proxy + 1e-9),
+            coarsen_to=max(config.coarsen_to, 2 * self.k),
+            seed=seed,
+            methods=config.matchings,
+        )
         if hier.depth == 1:
-            with _obs.trace_span(
-                "mr.refine_level", level=0, nodes=g.n, edges=g.m
-            ):
-                assign = level_refine(g, w, assign, ref_seeds[0])
-        m = evaluate_multires(g, w, assign, k, cons)
-        sp.set(levels=hier.depth, cut=m.cut, feasible=m.feasible)
-    return assign, m, hier.depth
+            return hier, [self.structure]
+        # deeper hierarchies refine the proxy-weighted copy at level 0 too
+        # (its node weights steer the flow pass's balance)
+        levels = [VectorGraph(hier.levels[0].graph, w)]
+        for lvl in hier.levels[1:]:
+            agg = np.zeros((lvl.graph.n, w.shape[1]))
+            np.add.at(agg, lvl.node_map, levels[-1].weights)
+            levels.append(VectorGraph(lvl.graph, agg))
+        return hier, levels
+
+    def initial(self, coarsest: VectorGraph, constraints, config: GPConfig,
+                seed):
+        return mr_greedy_initial(
+            coarsest.graph, coarsest.weights, self.k, constraints,
+            restarts=config.restarts, seed=seed,
+        )
+
+    def level_fm(self, structure: VectorGraph, assign, constraints,
+                 config: GPConfig, seed, state, seed_nodes):
+        return mr_constrained_fm(
+            structure.graph, structure.weights, assign, self.k, constraints,
+            max_passes=config.refine_passes, seed=seed, state=state,
+        )
+
+    def flow(self, st, constraints) -> np.ndarray:
+        return run_flow_refine(st, constraints)
+
+    def result(self, assign, metrics, constraints, runtime, info):
+        return MultiResResult(
+            assign=assign,
+            k=self.k,
+            metrics=metrics,
+            constraints=constraints,
+            runtime=runtime,
+            info=info,
+        )
 
 
 def _cached_copy(result: MultiResResult) -> MultiResResult:
-    """Deliver a cached result without aliasing the stored arrays/info."""
+    """*result* flagged as a cache hit, sharing no arrays or info with it
+    (what the memo stores, and what every hit delivers)."""
     return dataclasses.replace(
         result,
         assign=result.assign.copy(),
         info={**copy.deepcopy(result.info), "cache_hit": True},
     )
-
-
-def _raise_if_infeasible(
-    result: MultiResResult, max_cycles: int, on_infeasible: str
-) -> MultiResResult:
-    if not result.metrics.feasible and on_infeasible == "raise":
-        raise InfeasibleError(
-            f"no vector-feasible partitioning within {max_cycles} cycles "
-            f"(violation {result.metrics.total_violation:g})",
-            best=result,
-        )
-    return result
 
 
 def mr_gp_partition(
@@ -412,7 +439,8 @@ def mr_gp_partition(
     The coarsening hierarchy is built on a scalar projection (summed
     normalised utilisation) so the matchings see a sensible "mass", while
     the true weight *matrix* is aggregated level by level through the
-    contraction maps and drives all constraint checks.
+    contraction maps and drives all constraint checks.  Each level runs
+    one FM candidate (GP's ``level_candidates=1``).
 
     *n_jobs* races the retry cycles across worker processes exactly like
     :func:`~repro.partition.gp.gp_partition` does (``-1`` = all CPUs):
@@ -432,22 +460,23 @@ def mr_gp_partition(
     guarded flow stage on the race winner — never worse than ``"fm"``
     under the same seeds.
     """
-    check_refine_mode(refine)
-    if on_infeasible not in ("return", "raise"):
-        raise PartitionError(
-            f"on_infeasible must be return/raise, got {on_infeasible!r}"
-        )
-    if k < 1 or k > g.n:
-        raise PartitionError(f"bad k={k} for n={g.n}")
-    w = _check_weights(g, weights)
-    _match_resources(w, cons)
+    config = GPConfig(
+        coarsen_to=coarsen_to,
+        restarts=restarts,
+        max_cycles=max_cycles,
+        level_candidates=1,
+        refine_passes=refine_passes,
+        refine=refine,
+        on_infeasible=on_infeasible,
+    )
+    vg = VectorGraph(g, weights)
+    _match_resources(vg.weights, cons)
 
-    cacheable = cache and (seed is None or isinstance(seed, (int, np.integer)))
     key = None
-    if cacheable:
+    if cache and (seed is None or isinstance(seed, (int, np.integer))):
         key = (
             "mr_gp",
-            VectorGraph(g, w).content_digest(),
+            vg.content_digest(),
             k,
             cons,
             coarsen_to,
@@ -462,66 +491,14 @@ def mr_gp_partition(
         # lookup (not get): a cached falsy value must stay a hit
         found, hit = multires_cache.lookup(key)
         if found:
-            return _raise_if_infeasible(
-                _cached_copy(hit), max_cycles, on_infeasible
-            )
+            return check_feasible(_cached_copy(hit), max_cycles, on_infeasible)
 
-    rmax = np.asarray(cons.rmax)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scalar_proxy = np.where(rmax > 0, w / rmax, 0.0).sum(axis=1)
-    proxy_graph = g.with_node_weights(scalar_proxy + 1e-9)
-    rng = as_rng(seed)
-
-    with _obs.timed_span("mr_gp", nodes=g.n, k=k) as sw:
-        # all cycle seeds up front (the same stream the serial loop drew
-        # from, one triple per cycle) — what makes the cycles
-        # race-independent
-        cycle_seeds = [spawn_seeds(rng, 3) for _ in range(max_cycles)]
-        results = parallel_map(
-            _run_mr_cycle,
-            cycle_seeds,
-            n_jobs=n_jobs,
-            stop=lambda r: r[1].feasible,
-            context=(g, w, proxy_graph, k, cons, coarsen_to, restarts,
-                     refine_passes, refine),
-        )
-
-        best_assign, best_metrics, best_key = None, None, None
-        for assign, m, _depth in results:
-            cand = (m.total_violation, m.bandwidth_violation, m.cut)
-            if best_key is None or cand < best_key:
-                best_assign, best_metrics, best_key = assign, m, cand
-        cycles_used = len(results)
-
-        if refine == "fm+flow":
-            # guarded flow stage on the race winner — after the race for
-            # the same reason as gp_partition: the first-feasible early
-            # stop must not see flow-modified cycles, so "fm+flow" stays
-            # never worse than "fm" under the same seeds
-            st = VectorRefinementState(g, w, best_assign, k)
-            best_assign = run_flow_refine(st, cons)
-            best_metrics = evaluate_multires(g, w, best_assign, k, cons)
-
-    assert best_assign is not None and best_metrics is not None
-    result = MultiResResult(
-        assign=best_assign,
-        k=k,
-        metrics=best_metrics,
-        constraints=cons,
-        runtime=sw.elapsed,
-        info={
-            "cycles": cycles_used,
-            "max_cycles": max_cycles,
-            "levels": results[-1][2],
-        },
+    # the memo keeps infeasible results too, so the driver always returns
+    result = multilevel_partition(
+        VectorGraphEngine(vg, k, refine=refine), k, cons,
+        dataclasses.replace(config, on_infeasible="return"),
+        seed=seed, n_jobs=n_jobs,
     )
-    if cacheable:
-        multires_cache.put(
-            key,
-            dataclasses.replace(
-                result,
-                assign=result.assign.copy(),
-                info=copy.deepcopy(result.info),
-            ),
-        )
-    return _raise_if_infeasible(result, max_cycles, on_infeasible)
+    if key is not None:
+        multires_cache.put(key, _cached_copy(result))
+    return check_feasible(result, max_cycles, on_infeasible)

@@ -22,7 +22,7 @@ from repro.graph.wgraph import WGraph
 from repro.partition.coarsen import MATCHING_METHODS, contract
 from repro.partition.flow_refine import check_refine_mode, run_flow_refine
 from repro.partition.goodness import goodness_key
-from repro.partition.kway_refine import constrained_kway_fm
+from repro.partition.kway_refine import _as_state, constrained_kway_fm
 from repro.partition.metrics import ConstraintSpec, check_assignment, evaluate_partition
 from repro.partition.refine_state import RefinementState
 from repro.util.errors import PartitionError
@@ -52,11 +52,8 @@ def intra_part_matching(
             f"unknown matching method {method!r}; valid: {sorted(MATCHING_METHODS)}"
         ) from None
     match = fn(g, seed=seed).copy()
-    for u in range(g.n):
-        v = int(match[u])
-        if v != u and a[u] != a[v]:
-            match[u] = u
-            match[v] = v
+    crossing = a != a[match]  # symmetric: matched pairs agree
+    match[crossing] = np.arange(g.n, dtype=match.dtype)[crossing]
     return match
 
 
@@ -135,8 +132,6 @@ def vcycle_refine(
 
         def level_refine(graph, a_level, s, state=None):
             if refine == "flow":
-                from repro.partition.kway_refine import _as_state
-
                 stf = _as_state(graph, check_assignment(graph, a_level, k),
                                 k, state)
                 return run_flow_refine(stf, constraints), stf

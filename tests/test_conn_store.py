@@ -4,7 +4,7 @@ The sparse store's contract is *bit-identity* with the dense one under
 integer-valued weights (the invariant every pinned corpus holds — see
 ``conn_store``'s module docstring).  The tests here enforce it at every
 layer: raw store queries, move/rollback sequences through the engine,
-each refinement driver (FM first/steepest, greedy k-way, flow), the
+each refinement driver (constrained FM, greedy k-way, flow), the
 vector-resource engine, and the end-to-end partitioners.  The memory
 half pins the point of the exercise: the sparse footprint gauge on a
 bounded-degree graph at k=64 lands far below the dense ``16·k·n``.
@@ -200,20 +200,15 @@ class TestEngineParity:
         np.testing.assert_array_equal(st_d.ncnt, st_s.ncnt)
 
     @pytest.mark.parametrize("n,m,k,seed", CORPUS)
-    @pytest.mark.parametrize("selection", ["first", "steepest"])
-    def test_constrained_fm_parity(self, n, m, k, seed, selection):
+    def test_constrained_fm_parity(self, n, m, k, seed):
         g, a = _case(n, m, k, seed)
         cons = ConstraintSpec(
             bmax=0.2 * g.total_edge_weight,
             rmax=float(np.ceil(1.2 * g.total_node_weight / k)),
         )
         st_d, st_s = _engine_pair(g, a, k)
-        out_d = run_constrained_fm(
-            st_d, g.n, g.neighbors, cons, seed=seed, selection=selection
-        )
-        out_s = run_constrained_fm(
-            st_s, g.n, g.neighbors, cons, seed=seed, selection=selection
-        )
+        out_d = run_constrained_fm(st_d, g.n, g.neighbors, cons, seed=seed)
+        out_s = run_constrained_fm(st_s, g.n, g.neighbors, cons, seed=seed)
         np.testing.assert_array_equal(out_d, out_s)
         assert st_d.key(cons) == st_s.key(cons)
 
@@ -268,8 +263,7 @@ class TestEngineParity:
 # localized refinement (seed_nodes)
 # --------------------------------------------------------------------- #
 class TestLocalizedRefinement:
-    @pytest.mark.parametrize("selection", ["first", "steepest"])
-    def test_full_seed_set_matches_global(self, selection):
+    def test_full_seed_set_matches_global(self):
         g, a = _case(*CORPUS[1])
         k = CORPUS[1][2]
         cons = ConstraintSpec(
@@ -278,12 +272,9 @@ class TestLocalizedRefinement:
         )
         st_g = RefinementState(g, a.copy(), k)
         st_l = RefinementState(g, a.copy(), k)
-        out_g = run_constrained_fm(
-            st_g, g.n, g.neighbors, cons, seed=7, selection=selection
-        )
+        out_g = run_constrained_fm(st_g, g.n, g.neighbors, cons, seed=7)
         out_l = run_constrained_fm(
-            st_l, g.n, g.neighbors, cons, seed=7, selection=selection,
-            seed_nodes=np.arange(g.n),
+            st_l, g.n, g.neighbors, cons, seed=7, seed_nodes=np.arange(g.n),
         )
         np.testing.assert_array_equal(out_g, out_l)
 

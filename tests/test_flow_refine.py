@@ -1,6 +1,6 @@
 """The flow refinement pass on the shared engine seam.
 
-Four families, complementing ``tests/test_flow_core.py`` (which pins the
+Three families, complementing ``tests/test_flow_core.py`` (which pins the
 max-flow solver itself against brute-force min-cut enumeration):
 
 1. corridor extraction invariants — each side is a connected superset of
@@ -10,10 +10,7 @@ max-flow solver itself against brute-force min-cut enumeration):
    and leaves the incremental engine consistent, on all three engines
    (scalar graph, hypergraph Φ via clique expansion, vector-resource),
 3. the ``refine="fm+flow"`` drivers are never worse than ``refine="fm"``
-   at equal seeds and bit-identical across worker counts, and
-4. the ``selection="steepest"`` FM knob: never worsens its input, is
-   seed-independent, and is identical-or-better than first-improvement
-   on the pinned X13-style coarsest-level corpus.
+   at equal seeds and bit-identical across worker counts.
 """
 
 import os
@@ -40,7 +37,6 @@ from repro.partition.flow_refine import (
 )
 from repro.partition.goodness import goodness_key
 from repro.partition.gp import GPConfig, gp_partition
-from repro.partition.kway_refine import constrained_kway_fm
 from repro.partition.metrics import ConstraintSpec, check_assignment
 from repro.partition.multires import mr_gp_partition
 from repro.partition.refine_state import RefinementState
@@ -307,68 +303,6 @@ class TestDrivers:
             method="evolve", seed=9, config=cfg, cache=False,
         )
         check_assignment(g, r.assign, 3)
-
-
-# --------------------------------------------------------------------- #
-# 4. the steepest-selection FM knob (X13 follow-on)
-# --------------------------------------------------------------------- #
-class TestSteepestSelection:
-    #: Coarsest-level-style cases (n≈24 ≈ GP's coarsen_to floor, k=4)
-    #: where steepest selection was observed identical-or-better than
-    #: first-improvement — pinned as a regression corpus.  Steepest is
-    #: *not* uniformly better (ROADMAP X13: a few % on some cases at
-    #: ~19× cost), which is why it is a knob and not the default.
-    PINNED = (0, 1, 3, 4, 6, 7, 9, 11, 12, 13, 16, 18, 20)
-
-    @staticmethod
-    def _case(seed):
-        rng = as_rng(seed)
-        n, k = 24, 4
-        g = random_process_network(n, 52, seed=seed, node_weight_range=(1, 6))
-        a0 = rng.integers(0, k, size=n)
-        cons = ConstraintSpec(bmax=14.0, rmax=g.total_node_weight / k * 1.15)
-        return g, a0, k, cons
-
-    @pytest.mark.parametrize("seed", PINNED)
-    def test_identical_or_better_on_pinned_corpus(self, seed):
-        g, a0, k, cons = self._case(seed)
-        first = constrained_kway_fm(g, a0, k, cons, seed=1)
-        steep = constrained_kway_fm(
-            g, a0, k, cons, seed=1, selection="steepest"
-        )
-        k_first = RefinementState(g, first, k).key(cons)
-        k_steep = RefinementState(g, steep, k).key(cons)
-        assert k_steep <= k_first
-
-    @given(seed=st.integers(0, 4000))
-    @settings(max_examples=25, deadline=None)
-    def test_never_worsens_input(self, seed):
-        g, a0, k, cons = self._case(seed)
-        out = constrained_kway_fm(g, a0, k, cons, selection="steepest")
-        assert RefinementState(g, out, k).key(cons) <= \
-            RefinementState(g, a0, k).key(cons)
-
-    def test_seed_blind(self):
-        # steepest selection has no randomized tie-breaking at all
-        g, a0, k, cons = self._case(6)
-        outs = [
-            constrained_kway_fm(g, a0, k, cons, seed=s, selection="steepest")
-            for s in (None, 0, 1234)
-        ]
-        np.testing.assert_array_equal(outs[0], outs[1])
-        np.testing.assert_array_equal(outs[0], outs[2])
-
-    def test_default_is_first(self):
-        g, a0, k, cons = self._case(8)
-        np.testing.assert_array_equal(
-            constrained_kway_fm(g, a0, k, cons, seed=2),
-            constrained_kway_fm(g, a0, k, cons, seed=2, selection="first"),
-        )
-
-    def test_bad_selection_rejected(self):
-        g, a0, k, cons = self._case(0)
-        with pytest.raises(PartitionError, match="selection"):
-            constrained_kway_fm(g, a0, k, cons, selection="best")
 
 
 # --------------------------------------------------------------------- #

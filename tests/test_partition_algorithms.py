@@ -283,7 +283,10 @@ class TestExact:
     def test_property_exact_lower_bounds_heuristics(self, seed):
         g = random_process_network(9, 16, seed=seed)
         opt = exact_min_cut(g, 2)
-        from repro.partition.kl import kl_bisection
+        from repro.partition.fm import fm_refine_bisection
 
-        kl_cut = cut_value(g, kl_bisection(g, seed=seed))
-        assert opt <= kl_cut + 1e-9
+        # FM never raises the side-cap violation of its start, so from an
+        # alternating start neither side can empty out
+        fm = fm_refine_bisection(g, np.arange(g.n) % 2)
+        assert 0 < int(fm.sum()) < g.n
+        assert opt <= cut_value(g, fm) + 1e-9

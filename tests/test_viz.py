@@ -1,5 +1,7 @@
 """Tests for layout, DOT, SVG and ASCII rendering."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,15 @@ class TestLayout:
     def test_degenerate_sizes(self):
         assert force_layout(WGraph(0)).shape == (0, 2)
         assert np.allclose(force_layout(WGraph(1)), [[0.5, 0.5]])
+
+    def test_all_zero_edge_weights_lay_out_unweighted(self):
+        g = WGraph(4, [(0, 1, 0.0), (1, 2, 0.0), (2, 3, 0.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pos = force_layout(g, seed=3)
+        assert np.isfinite(pos).all()
+        unweighted = WGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        assert np.allclose(pos, force_layout(unweighted, seed=3))
 
     def test_connected_nodes_closer_than_random(self):
         """Heavy-edge endpoints should sit nearer than the global mean."""
