@@ -12,6 +12,12 @@ driver each.  Graph and hypergraph results are bit-identical to those
 drivers.  On the vector engine only ``refine="flow"`` is pinned: its
 per-level FM now draws its seed from the shared per-level stream, so the
 FM results moved once, and serial == parallel is checked instead.
+
+The last section checks the contract :func:`~repro.partition.multilevel.
+multilevel_partition` keeps for every engine: the shared cycle-knob and
+``k`` validation, the one infeasible report (``on_infeasible="raise"``
+carries exactly the result ``"return"`` hands back), and which engine
+turns on which hook.
 """
 
 import hashlib
@@ -20,10 +26,20 @@ import numpy as np
 import pytest
 
 from repro.graph import multicast_network, random_process_network
-from repro.hypergraph.partition import HyperConfig, hyper_partition
-from repro.partition.gp import GPConfig, gp_partition
+from repro.hypergraph.partition import (
+    HyperConfig,
+    HyperEngine,
+    hyper_partition,
+)
+from repro.partition.gp import GPConfig, GraphEngine, gp_partition
 from repro.partition.metrics import ConstraintSpec
-from repro.partition.multires import VectorConstraints, mr_gp_partition
+from repro.partition.multilevel import Engine, multilevel_partition
+from repro.partition.multires import (
+    VectorConstraints,
+    VectorGraphEngine,
+    mr_gp_partition,
+)
+from repro.util.errors import InfeasibleError, PartitionError
 
 
 def digest(assign) -> str:
@@ -183,3 +199,91 @@ def test_hierarchy_depths_cover_both_branches():
     assert CASES["vector/flow/depth1"]().info["levels"] == 1
     assert CASES["vector/flow/deep"]().info["levels"] > 1
     assert CASES["gp/fm/dense"]().info["levels"] > 1
+
+
+# --------------------------------------------------------------------- #
+# the driver's contract, shared by every engine
+# --------------------------------------------------------------------- #
+def _gp_run(k=GP_K, bmax=40.0, on_infeasible="return"):
+    g, cons = gp_instance(0, bmax)
+    cfg = gp_config(on_infeasible=on_infeasible)
+    return gp_partition(g, k, cons, cfg, seed=11)
+
+
+def _hyper_run(k=HYPER_K, bmax=float("inf"), on_infeasible="return"):
+    hg, cons = hyper_instance(bmax)
+    cfg = HyperConfig(
+        restarts=4, max_cycles=3, coarsen_to=12, on_infeasible=on_infeasible
+    )
+    return hyper_partition(hg, k, cons, cfg, seed=5)
+
+
+def _vector_run(k=VEC_K, bmax=60.0, on_infeasible="return"):
+    g, w, cons = vector_instance()
+    cons = VectorConstraints(bmax=bmax, rmax=cons.rmax)
+    return mr_gp_partition(
+        g, w, k, cons, restarts=4, max_cycles=3, coarsen_to=20, seed=2,
+        cache=False, on_infeasible=on_infeasible,
+    )
+
+
+RUNS = {"gp": (_gp_run, 120), "hyper": (_hyper_run, 60),
+        "vector": (_vector_run, 70)}
+ENGINES = {"gp": GraphEngine, "hyper": HyperEngine,
+           "vector": VectorGraphEngine}
+CYCLE_KNOBS = ("coarsen_to", "restarts", "max_cycles", "level_candidates",
+               "refine_passes")
+
+
+@pytest.mark.parametrize("knob", CYCLE_KNOBS)
+@pytest.mark.parametrize("config_cls", [GPConfig, HyperConfig],
+                         ids=["gp", "hyper"])
+def test_cycle_knob_below_one_rejected(config_cls, knob):
+    with pytest.raises(PartitionError, match=f"{knob} must be >= 1"):
+        config_cls(**{knob: 0})
+
+
+@pytest.mark.parametrize("config_cls", [GPConfig, HyperConfig],
+                         ids=["gp", "hyper"])
+def test_bad_on_infeasible_rejected(config_cls):
+    with pytest.raises(PartitionError, match="on_infeasible"):
+        config_cls(on_infeasible="warn")
+
+
+@pytest.mark.parametrize("bad", ["zero", "above_n"])
+@pytest.mark.parametrize("engine", sorted(RUNS))
+def test_k_outside_node_count_rejected(engine, bad):
+    run, n = RUNS[engine]
+    k = 0 if bad == "zero" else n + 1
+    with pytest.raises(PartitionError, match=r"k must be in \[1, "):
+        run(k=k)
+
+
+@pytest.mark.parametrize("engine", sorted(RUNS))
+def test_infeasible_raise_carries_the_returned_result(engine):
+    run, _ = RUNS[engine]
+    returned = run(bmax=0.0)
+    assert not returned.metrics.feasible
+    with pytest.raises(InfeasibleError, match="within 3 cycles") as exc:
+        run(bmax=0.0, on_infeasible="raise")
+    best = exc.value.best
+    np.testing.assert_array_equal(best.assign, returned.assign)
+    assert best.info["cycles"] == returned.info["cycles"] == 3
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_engine_hooks(engine):
+    cls = ENGINES[engine]
+    # graph draws a fourth seed per cycle for its V-cycle stage
+    assert cls.cycle_phases == (4 if engine == "gp" else 3)
+    assert hasattr(cls, "vcycle") == (engine == "gp")
+    # hyper's initial partition comes from the clique-expansion proxy
+    assert cls.polish_coarsest == (engine == "hyper")
+    # only graph overrides the no-locality default
+    assert (cls.locality_seeds is Engine.locality_seeds) == (engine != "gp")
+
+
+def test_engine_built_for_another_k_rejected():
+    g, cons = gp_instance(0, 40.0)
+    with pytest.raises(PartitionError, match="engine built for k=3"):
+        multilevel_partition(GraphEngine(g, 3), GP_K, cons, gp_config())
